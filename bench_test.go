@@ -6,133 +6,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/workload"
 )
-
-// The benchmarks regenerate the experiment tables (one bench per
-// experiment; the paper has no measured tables of its own, so each theorem
-// of the evaluation-grade claims is converted into a table — see README.md
-// "Experiments"). Each bench prints its table once and then times the core
-// operation it measures.
-
-var printed = map[string]bool{}
-
-func printOnce(b *testing.B, t *experiments.Table) {
-	b.Helper()
-	if !printed[t.Title] {
-		printed[t.Title] = true
-		b.Log("\n" + t.String())
-	}
-}
-
-func BenchmarkE1ConnectivityRounds(b *testing.B) {
-	printOnce(b, experiments.E1ConnectivityRounds([]int{64, 128, 256}, []float64{0.5, 0.7}, 6, 1))
-	dc, err := core.NewDynamicConnectivity(core.Config{N: 128, Phi: 0.6, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := workload.NewChurn(workload.Config{N: 128, Seed: 2, InsertBias: 0.6})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dc.ApplyBatch(gen.Next(dc.MaxBatch())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2ConnectivityMemory(b *testing.B) {
-	printOnce(b, experiments.E2ConnectivityMemory(128, 0.6, []int{100, 300, 600, 1000}, 2))
-	for i := 0; i < b.N; i++ {
-		experiments.E2ConnectivityMemory(64, 0.6, []int{50, 150}, uint64(i))
-	}
-}
-
-func BenchmarkE3QueryRoundsVsAGM(b *testing.B) {
-	printOnce(b, experiments.E3QueryVsAGM([]int{64, 128, 256, 512}, 3))
-	for i := 0; i < b.N; i++ {
-		experiments.E3QueryVsAGM([]int{64}, uint64(i))
-	}
-}
-
-func BenchmarkE4ExactMSF(b *testing.B) {
-	printOnce(b, experiments.E4ExactMSF([]int{64, 128, 256}, 8, 4))
-	for i := 0; i < b.N; i++ {
-		experiments.E4ExactMSF([]int{48}, 4, uint64(i))
-	}
-}
-
-func BenchmarkE5ApproxMSF(b *testing.B) {
-	printOnce(b, experiments.E5ApproxMSF(64, []float64{0.1, 0.25, 0.5}, 8, 5))
-	for i := 0; i < b.N; i++ {
-		experiments.E5ApproxMSF(32, []float64{0.25}, 4, uint64(i))
-	}
-}
-
-func BenchmarkE6Bipartiteness(b *testing.B) {
-	printOnce(b, experiments.E6Bipartiteness(64, 10, 6))
-	for i := 0; i < b.N; i++ {
-		experiments.E6Bipartiteness(32, 6, uint64(i))
-	}
-}
-
-func BenchmarkE7InsertMatching(b *testing.B) {
-	printOnce(b, experiments.E7InsertMatching(128, []float64{2, 4, 8}, 7))
-	for i := 0; i < b.N; i++ {
-		experiments.E7InsertMatching(48, []float64{2}, uint64(i))
-	}
-}
-
-func BenchmarkE8DynamicMatching(b *testing.B) {
-	printOnce(b, experiments.E8DynamicMatching(48, []float64{2, 4}, 8, 8))
-	for i := 0; i < b.N; i++ {
-		experiments.E8DynamicMatching(24, []float64{2}, 4, uint64(i))
-	}
-}
-
-func BenchmarkE9BatchScaling(b *testing.B) {
-	printOnce(b, experiments.E9BatchScaling(256, []float64{0.1, 0.25, 0.5, 1}, 5, 9))
-	for i := 0; i < b.N; i++ {
-		experiments.E9BatchScaling(64, []float64{0.5}, 3, uint64(i))
-	}
-}
-
-func BenchmarkE10EulerTourAblation(b *testing.B) {
-	printOnce(b, experiments.E10EulerTourAblation(512, []int{4, 16, 64}, 10))
-	for i := 0; i < b.N; i++ {
-		experiments.E10EulerTourAblation(128, []int{8}, uint64(i))
-	}
-}
-
-func BenchmarkE11SketchCopies(b *testing.B) {
-	printOnce(b, experiments.E11SketchCopiesAblation(64, []int{1, 2, 4, 24}, 6, []uint64{1, 2, 3, 4, 5, 6}))
-	for i := 0; i < b.N; i++ {
-		experiments.E11SketchCopiesAblation(32, []int{4}, 3, []uint64{uint64(i + 1)})
-	}
-}
-
-func BenchmarkE12CommunicationPerRound(b *testing.B) {
-	printOnce(b, experiments.E12CommunicationPerRound([]int{64, 128, 256}, 8, 12))
-	for i := 0; i < b.N; i++ {
-		experiments.E12CommunicationPerRound([]int{64}, 3, uint64(i))
-	}
-}
-
-func BenchmarkE14ScenarioSweep(b *testing.B) {
-	printOnce(b, experiments.E14ScenarioSweep(48, 6, nil, 14))
-	for i := 0; i < b.N; i++ {
-		experiments.E14ScenarioSweep(48, 3, []string{"powerlaw", "window"}, uint64(i))
-	}
-}
-
-func BenchmarkE15QueryThroughput(b *testing.B) {
-	printOnce(b, experiments.E15QueryThroughput([]int{64, 128, 256}, 8, 1024, 15))
-	for i := 0; i < b.N; i++ {
-		experiments.E15QueryThroughput([]int{64}, 4, 128, uint64(i))
-	}
-}
 
 // BenchmarkBatchApplyThroughput times raw update throughput of the core
 // algorithm (wall-clock of the simulator, not an MPC metric; useful for

@@ -48,9 +48,13 @@
 // keeps its historical meaning: the text file holds further updates, all
 // of which are replayed on top of the snapshot.
 //
-// Checkpoint & recovery (see internal/snapshot): -checkpoint writes a
-// crash-safe snapshot of the final connectivity state (plus the mirror
-// graph) so a later invocation can continue the run without replaying it;
+// Checkpoint & recovery (see internal/session and internal/snapshot): the
+// connectivity runs of the generated, -stream and -trace modes step every
+// batch through one session.Session, the durable unit mpcserve also
+// checkpoints, so a batch is validated against the mirror graph first (a
+// batch touching an edge twice is refused). -checkpoint writes a
+// crash-safe snapshot of the final session (engine plus mirror graph) so a
+// later invocation can continue the run without replaying it;
 // -resume restores such a snapshot before replaying a -stream trace of
 // further updates, oracle-verified against the restored mirror. Checkpoints
 // form a chain: when -resume and -checkpoint name the same path, the new
@@ -85,7 +89,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -101,6 +104,7 @@ import (
 	"repro/internal/msf"
 	"repro/internal/oracle"
 	"repro/internal/profiling"
+	"repro/internal/session"
 	"repro/internal/snapshot"
 	"repro/internal/streamio"
 	"repro/internal/trace"
@@ -319,14 +323,15 @@ func run(algo string, n int, phi float64, batches int, seed uint64, alpha, eps f
 	gen := workload.NewChurn(workload.Config{N: n, Seed: seed + 1, MaxWeight: maxWeight, InsertBias: insertBias})
 	switch algo {
 	case "connectivity":
-		dc, err := core.NewDynamicConnectivity(cfg)
+		sess, err := session.New(cfg)
 		if err != nil {
 			return err
 		}
+		dc := sess.DC()
 		mix := workload.NewQueryMix(gen, n, seed+2)
 		queryRounds, answered, connected := 0, 0, 0
 		for i := 0; i < batches; i++ {
-			if err := dc.ApplyBatch(mix.Next(dc.MaxBatch())); err != nil {
+			if err := step(sess, mix.Next(dc.MaxBatch())); err != nil {
 				return err
 			}
 			if queries == 0 {
@@ -361,8 +366,7 @@ func run(algo string, n int, phi float64, batches int, seed uint64, alpha, eps f
 		if checkpointFile != "" {
 			// A fresh chain is never linked to on-disk state, so this writes a
 			// full base (and sweeps any stale deltas left at that path).
-			st := &streamState{n: n, phi: phi, seed: seed, parallelism: parallelism, dc: dc, mirror: gen.Mirror()}
-			if err := writeCheckpoint(snapshot.OpenChain(checkpointFile, maxDeltaChain), st); err != nil {
+			if err := writeCheckpoint(snapshot.OpenChain(checkpointFile, maxDeltaChain), sess); err != nil {
 				return err
 			}
 		}
@@ -445,184 +449,21 @@ func run(algo string, n int, phi float64, batches int, seed uint64, alpha, eps f
 	return nil
 }
 
-// Section tags of the CLI layer of a snapshot: run metadata and the mirror
-// graph, written ahead of the connectivity state so a resuming process can
-// size its cluster before restoring. Delta containers use their own pair:
-// the meta echo is repeated (tiny, keeps every container self-validating)
-// and the mirror section carries only the updates applied since the last
-// acknowledged checkpoint.
-const (
-	tagCLIMeta        = 0x50
-	tagCLIMirror      = 0x51
-	tagCLIMetaDelta   = 0x52
-	tagCLIMirrorDelta = 0x53
-)
-
-// streamState is the CLI's checkpoint unit: the run parameters, the mirror
-// graph (so a resumed replay can still be oracle-verified), and the
-// connectivity instance. It implements snapshot.DeltaState, so a checkpoint
-// chain can alternate full bases with cheap deltas.
-type streamState struct {
-	n           int
-	phi         float64
-	seed        uint64
-	parallelism int
-	// vpm is the cluster's VerticesPerMachine override (0 = default shape).
-	// It is part of the meta echo so a resume rebuilds the fleet at the
-	// machine count the checkpoint was cut at — which, after a
-	// -resume-machines re-shard, differs from the config default.
-	vpm int
-	// applied counts the input batches applied to the state since the start
-	// of its stream. It rides the meta echo so a -trace -resume can seek the
-	// trace's footer index straight to batch `applied` instead of replaying
-	// the prefix. (Text -stream resumes replay a separate continuation file,
-	// so they ignore it.)
-	applied int
-	dc      *core.DynamicConnectivity
-	mirror  *graph.Graph
-
-	// pending journals every update applied since the last acknowledged
-	// checkpoint; delta checkpoints ship it instead of the whole mirror.
-	pending graph.Batch
-}
-
-// Checkpoint implements snapshot.Checkpointer.
-func (s *streamState) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagCLIMeta)
-	e.Int(s.n)
-	e.F64(s.phi)
-	e.U64(s.seed)
-	e.Int(s.vpm)
-	e.Int(s.applied)
-	e.Begin(tagCLIMirror)
-	snapshot.EncodeGraph(e, s.mirror)
-	s.dc.Checkpoint(e)
-}
-
-// Restore implements snapshot.Restorer: the cluster is rebuilt from the
-// snapshot's run metadata (the current -parallelism flag still selects the
-// execution engine — it is not state) and the mirror graph and connectivity
-// state are reloaded.
-func (s *streamState) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagCLIMeta)
-	s.n, s.phi, s.seed = d.Int(), d.F64(), d.U64()
-	s.vpm = d.Int()
-	s.applied = d.Int()
-	if err := d.Err(); err != nil {
-		return err
+// step admits one batch into the session — the same at-most-once-per-edge
+// validation the service applies — and applies it.
+func step(sess *session.Session, b graph.Batch) error {
+	if err := sess.Admit(b); err != nil {
+		return fmt.Errorf("batch %d: %w", sess.Applied(), err)
 	}
-	// The meta section is the config source here (nothing to cross-check it
-	// against yet), so sanity-validate it before sizing a graph or cluster
-	// from it: a malformed value must be a diagnostic, not a make() panic.
-	if s.n < 2 || s.n > 1<<31 {
-		return fmt.Errorf("snapshot declares %d vertices (want 2..2^31)", s.n)
-	}
-	if s.phi <= 0 || s.phi > 1 {
-		return fmt.Errorf("snapshot declares Phi=%v (want (0,1])", s.phi)
-	}
-	if s.vpm < 0 || s.vpm > s.n {
-		return fmt.Errorf("snapshot declares VerticesPerMachine=%d (want 0..%d)", s.vpm, s.n)
-	}
-	if s.applied < 0 {
-		return fmt.Errorf("snapshot declares %d applied batches (want >= 0)", s.applied)
-	}
-	d.Begin(tagCLIMirror)
-	s.mirror = graph.New(s.n)
-	if err := snapshot.DecodeGraphInto(d, s.mirror); err != nil {
-		return err
-	}
-	var err error
-	s.dc, err = core.NewDynamicConnectivity(s.config())
-	if err != nil {
-		return err
-	}
-	return s.dc.Restore(d)
-}
-
-// config is the cluster configuration the state's checkpoints describe.
-func (s *streamState) config() core.Config {
-	return core.Config{N: s.n, Phi: s.phi, Seed: s.seed, Parallelism: s.parallelism, VerticesPerMachine: s.vpm}
-}
-
-// reshard migrates the restored state onto a fleet of exactly machines
-// machines: an in-memory checkpoint of the live instance is re-shard-restored
-// into a fresh fleet at the target shape, which then replaces the instance.
-func (s *streamState) reshard(machines int) error {
-	tcfg, err := core.ResizeConfig(s.config(), machines)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, s.dc); err != nil {
-		return err
-	}
-	fresh, err := core.NewDynamicConnectivity(tcfg)
-	if err != nil {
-		return err
-	}
-	if err := snapshot.Reshard(bytes.NewReader(buf.Bytes()), fresh); err != nil {
-		return err
-	}
-	s.dc, s.vpm = fresh, tcfg.VerticesPerMachine
-	return nil
-}
-
-// CheckpointDelta implements snapshot.DeltaCheckpointer: the mirror section
-// carries only the journaled updates — replaying them onto the restored
-// base mirror reproduces the full mirror exactly.
-func (s *streamState) CheckpointDelta(e *snapshot.Encoder) {
-	e.Begin(tagCLIMetaDelta)
-	e.Int(s.n)
-	e.F64(s.phi)
-	e.U64(s.seed)
-	e.Int(s.vpm)
-	e.Int(s.applied)
-	e.Begin(tagCLIMirrorDelta)
-	snapshot.EncodeUpdates(e, s.pending)
-	s.dc.CheckpointDelta(e)
-}
-
-// RestoreDelta implements snapshot.DeltaRestorer: it replays one delta on
-// top of the previously restored state.
-func (s *streamState) RestoreDelta(d *snapshot.Decoder) error {
-	d.Begin(tagCLIMetaDelta)
-	n, phi, seed := d.Int(), d.F64(), d.U64()
-	vpm := d.Int()
-	applied := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != s.n || phi != s.phi || seed != s.seed {
-		return fmt.Errorf("delta declares (n=%d, phi=%v, seed=%d), base restored (n=%d, phi=%v, seed=%d)",
-			n, phi, seed, s.n, s.phi, s.seed)
-	}
-	if vpm != s.vpm {
-		return fmt.Errorf("delta written at VerticesPerMachine=%d cannot extend a base restored at %d", vpm, s.vpm)
-	}
-	if applied < s.applied {
-		return fmt.Errorf("delta says %d batches applied but the chain so far says %d — links out of order", applied, s.applied)
-	}
-	s.applied = applied
-	d.Begin(tagCLIMirrorDelta)
-	if err := snapshot.DecodeUpdatesInto(d, s.mirror); err != nil {
-		return err
-	}
-	return s.dc.RestoreDelta(d)
-}
-
-// AckCheckpoint implements snapshot.DeltaState: the chain calls it once the
-// container is durable, making the written state the new delta baseline.
-func (s *streamState) AckCheckpoint() {
-	s.pending = nil
-	s.dc.AckCheckpoint()
+	return sess.Apply(b)
 }
 
 // writeCheckpoint saves the next checkpoint of the chain atomically (temp
 // file, fsync, rename) — a delta when the chain was resumed from disk and
 // has room, a full base otherwise — so an interrupted write never clobbers
 // a previous good checkpoint with a truncated one.
-func writeCheckpoint(chain *snapshot.Chain, st *streamState) error {
-	kind, bytes, err := chain.Checkpoint(st)
+func writeCheckpoint(chain *snapshot.Chain, sess *session.Session) error {
+	kind, bytes, err := chain.Checkpoint(sess)
 	if err != nil {
 		return err
 	}
@@ -630,70 +471,49 @@ func writeCheckpoint(chain *snapshot.Chain, st *streamState) error {
 	return nil
 }
 
-// resumeState restores a streamState from a checkpoint chain rooted at
-// path: stale temp files from an interrupted checkpoint are swept, then the
-// base snapshot and every delta linking to it are replayed in sequence.
-func resumeState(path string, parallelism, maxDeltaChain int) (*streamState, *snapshot.Chain, error) {
-	if swept, err := snapshot.SweepStaleTemps(path); err != nil {
-		return nil, nil, err
-	} else if len(swept) > 0 {
-		fmt.Printf("swept %d stale checkpoint temp file(s)\n", len(swept))
-	}
-	st := &streamState{parallelism: parallelism}
-	chain := snapshot.OpenChain(path, maxDeltaChain)
-	ok, err := chain.Restore(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("no snapshot at %s", path)
-	}
-	return st, chain, nil
-}
-
-// resumeOrFresh restores a streamState from resumeFile (applying any
-// -resume-machines re-shard and re-basing the chain) or builds a fresh one
-// over n vertices. It is the shared front half of runStream and runTrace.
-func resumeOrFresh(n int, phi float64, seed uint64, parallelism, maxDeltaChain, resumeMachines int, resumeFile string) (*streamState, *snapshot.Chain, error) {
+// openSession resumes the session checkpointed at resumeFile (re-sharding it
+// onto resumeMachines machines and re-basing its chain when asked) or
+// starts a fresh one over n vertices. It is the shared front half of
+// runStream and runTrace.
+func openSession(n int, phi float64, seed uint64, parallelism, maxDeltaChain, resumeMachines int, resumeFile string) (*session.Session, *snapshot.Chain, error) {
 	if resumeFile == "" {
 		if n < 2 {
 			return nil, nil, fmt.Errorf("stream references fewer than 2 vertices")
 		}
-		dc, err := core.NewDynamicConnectivity(core.Config{N: n, Phi: phi, Seed: seed, Parallelism: parallelism})
-		if err != nil {
-			return nil, nil, err
-		}
-		return &streamState{n: n, phi: phi, seed: seed, parallelism: parallelism, dc: dc, mirror: graph.New(n)}, nil, nil
+		sess, err := session.New(core.Config{N: n, Phi: phi, Seed: seed, Parallelism: parallelism})
+		return sess, nil, err
 	}
-	st, chain, err := resumeState(resumeFile, parallelism, maxDeltaChain)
+	sess, chain, err := session.Resume(resumeFile, maxDeltaChain, parallelism)
+	if err == nil && sess == nil {
+		err = fmt.Errorf("no snapshot at %s", resumeFile)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("resume %s: %w", resumeFile, err)
 	}
-	fmt.Printf("resumed %d vertices, %d edges from %s (chain length %d)\n", st.n, st.mirror.M(), resumeFile, chain.Len())
+	fmt.Printf("resumed %d vertices, %d edges from %s (chain length %d)\n", sess.Config().N, sess.Mirror().M(), resumeFile, chain.Len())
 	if resumeMachines > 0 {
-		was := st.dc.Config().MachineCount()
-		if err := st.reshard(resumeMachines); err != nil {
+		was := sess.DC().Config().MachineCount()
+		if err := sess.Resize(resumeMachines); err != nil {
 			return nil, nil, fmt.Errorf("re-shard onto %d machines: %w", resumeMachines, err)
 		}
 		// The restored chain describes the old shape: re-base it so a
 		// -checkpoint onto the same path writes a fresh full base rather
 		// than a delta extending old-shape containers.
 		chain.Rebase()
-		fmt.Printf("re-sharded %d -> %d machines (VerticesPerMachine=%d)\n", was, resumeMachines, st.vpm)
+		fmt.Printf("re-sharded %d -> %d machines (VerticesPerMachine=%d)\n", was, resumeMachines, sess.Config().VerticesPerMachine)
 	}
-	return st, chain, nil
+	return sess, chain, nil
 }
 
-// replay pulls batches from the validating source and applies them to the
-// connectivity state, chunked to the cluster's MaxBatch, until io.EOF or
-// (maxBatches > 0) that many source batches. Every applied update is
-// journaled so a delta checkpoint ships just the replayed suffix, and
-// st.applied advances per source batch so a trace checkpoint records the
-// resume position.
-func (s *streamState) replay(src *workload.Mirrored, maxBatches int) (int, error) {
+// replay pulls batches from next and steps them through the session until
+// io.EOF or (maxBatches > 0) that many non-empty batches. The session
+// journals every update, so a delta checkpoint ships just the replayed
+// suffix, and counts every batch, so a trace checkpoint records the resume
+// position.
+func replay(sess *session.Session, next func() (graph.Batch, error), maxBatches int) (int, error) {
 	replayed := 0
 	for maxBatches <= 0 || replayed < maxBatches {
-		b, err := src.Next()
+		b, err := next()
 		if err == io.EOF {
 			break
 		}
@@ -703,19 +523,10 @@ func (s *streamState) replay(src *workload.Mirrored, maxBatches int) (int, error
 		if len(b) == 0 {
 			continue
 		}
-		for len(b) > 0 {
-			k := s.dc.MaxBatch()
-			if k > len(b) {
-				k = len(b)
-			}
-			if err := s.dc.ApplyBatch(b[:k]); err != nil {
-				return replayed, err
-			}
-			s.pending = append(s.pending, b[:k]...)
-			b = b[k:]
+		if err := step(sess, b); err != nil {
+			return replayed, err
 		}
 		replayed++
-		s.applied++
 	}
 	return replayed, nil
 }
@@ -723,23 +534,23 @@ func (s *streamState) replay(src *workload.Mirrored, maxBatches int) (int, error
 // finishReplay verifies the replayed state against the mirror, prints the
 // summary (identical across the text and trace paths, so CI can diff
 // them), and writes the checkpoint if requested.
-func (s *streamState) finishReplay(replayed int, mirror *graph.Graph, chain *snapshot.Chain, maxDeltaChain int, resumeFile, checkpointFile string) error {
-	if err := harness.VerifyConnectivity(s.dc, mirror); err != nil {
+func finishReplay(sess *session.Session, replayed int, chain *snapshot.Chain, maxDeltaChain int, resumeFile, checkpointFile string) error {
+	dc := sess.DC()
+	if err := harness.VerifyConnectivity(dc, sess.Mirror()); err != nil {
 		return fmt.Errorf("replay diverged from the oracle: %w", err)
 	}
 	fmt.Printf("replayed %d batches on %d vertices: %d components (oracle-verified)\n",
-		replayed, s.n, s.dc.NumComponents())
-	report(s.dc.Cluster().Stats(), replayed)
-	if checkpointFile != "" {
-		s.mirror = mirror
-		if chain == nil || checkpointFile != resumeFile {
-			// Writing somewhere other than the resumed chain: start a fresh
-			// chain there, which forces a full base.
-			chain = snapshot.OpenChain(checkpointFile, maxDeltaChain)
-		}
-		return writeCheckpoint(chain, s)
+		replayed, sess.Config().N, dc.NumComponents())
+	report(dc.Cluster().Stats(), replayed)
+	if checkpointFile == "" {
+		return nil
 	}
-	return nil
+	if chain == nil || checkpointFile != resumeFile {
+		// Writing somewhere other than the resumed chain: start a fresh
+		// chain there, which forces a full base.
+		chain = snapshot.OpenChain(checkpointFile, maxDeltaChain)
+	}
+	return writeCheckpoint(chain, sess)
 }
 
 // runStream replays a text stream file through the connectivity algorithm,
@@ -777,7 +588,7 @@ func runStream(algo, path string, phi float64, seed uint64, parallelism, maxDelt
 		}
 		file.Close()
 	}
-	st, chain, err := resumeOrFresh(n, phi, seed, parallelism, maxDeltaChain, resumeMachines, resumeFile)
+	sess, chain, err := openSession(n, phi, seed, parallelism, maxDeltaChain, resumeMachines, resumeFile)
 	if err != nil {
 		return err
 	}
@@ -786,13 +597,11 @@ func runStream(algo, path string, phi float64, seed uint64, parallelism, maxDelt
 		return err
 	}
 	defer file.Close()
-	shape := workload.Shape{N: st.n, Batches: -1, Updates: -1}
-	src := workload.NewMirroredFrom(st.mirror, workload.NewFuncSource(shape, streamio.NewReader(file).Next))
-	replayed, err := st.replay(src, 0)
+	replayed, err := replay(sess, streamio.NewReader(file).Next, 0)
 	if err != nil {
 		return err
 	}
-	return st.finishReplay(replayed, src.Mirror(), chain, maxDeltaChain, resumeFile, checkpointFile)
+	return finishReplay(sess, replayed, chain, maxDeltaChain, resumeFile, checkpointFile)
 }
 
 // runTrace replays a binary trace (internal/trace format) through the
@@ -814,28 +623,28 @@ func runTrace(algo, path string, phi float64, seed uint64, parallelism, maxDelta
 		return err
 	}
 	shape := tr.Shape()
-	st, chain, err := resumeOrFresh(shape.N, phi, seed, parallelism, maxDeltaChain, resumeMachines, resumeFile)
+	sess, chain, err := openSession(shape.N, phi, seed, parallelism, maxDeltaChain, resumeMachines, resumeFile)
 	if err != nil {
 		return err
 	}
-	if shape.N > st.n {
-		return fmt.Errorf("trace spans %d vertices but the resumed snapshot covers [0,%d)", shape.N, st.n)
+	if n := sess.Config().N; shape.N > n {
+		return fmt.Errorf("trace spans %d vertices but the resumed snapshot covers [0,%d)", shape.N, n)
 	}
 	if resumeFile != "" {
-		if st.applied > shape.Batches {
-			return fmt.Errorf("snapshot says %d batches already applied but the trace holds only %d — wrong trace for this checkpoint?", st.applied, shape.Batches)
+		applied := sess.Applied()
+		if applied > shape.Batches {
+			return fmt.Errorf("snapshot says %d batches already applied but the trace holds only %d — wrong trace for this checkpoint?", applied, shape.Batches)
 		}
-		if err := tr.SeekBatch(st.applied); err != nil {
+		if err := tr.SeekBatch(applied); err != nil {
 			return err
 		}
-		fmt.Printf("continuing at trace batch %d of %d (segment index seek)\n", st.applied, shape.Batches)
+		fmt.Printf("continuing at trace batch %d of %d (segment index seek)\n", applied, shape.Batches)
 	}
-	src := workload.NewMirroredFrom(st.mirror, tr)
-	replayed, err := st.replay(src, traceBatches)
+	replayed, err := replay(sess, tr.Next, traceBatches)
 	if err != nil {
 		return err
 	}
-	return st.finishReplay(replayed, src.Mirror(), chain, maxDeltaChain, resumeFile, checkpointFile)
+	return finishReplay(sess, replayed, chain, maxDeltaChain, resumeFile, checkpointFile)
 }
 
 // multiSink fans converted batches out to every output format requested.

@@ -5,7 +5,7 @@
 // workload scenario registry, and how to run the experiment tables and
 // benchmarks. The simulator and algorithm packages live under internal/,
 // runnable examples under examples/, the experiment harness behind
-// bench_test.go and cmd/experiments, and the differential-testing engine —
+// cmd/experiments, and the differential-testing engine —
 // which cross-checks every algorithm against the brute-force oracles over
 // every registered scenario — in internal/harness.
 //

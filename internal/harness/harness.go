@@ -314,35 +314,56 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 		return nil, opt, nil, err
 	}
 	opt = opt.withDefaults()
-	inst, err := algo.New(opt)
+	r, err := newRun(algo, opt)
 	if err != nil {
 		return nil, opt, nil, err
 	}
-	var crash *workload.CrashSchedule
-	var fault *workload.MachineFaultSchedule
-	var chain *memChain
+	src := workload.NewGeneratorSource(sc.New(opt.N, opt.Seed+1), opt.Batches, r.size)
+	return r.drive(sc.Name, src, opt)
+}
+
+// run is one differential run: the algorithm's live instance plus the
+// decorations its options ask for.
+type run struct {
+	algo Algorithm
+	inst Instance
+	// size caps the updates applied per Apply: the instance's MaxBatch, or
+	// Options.BatchSize when smaller.
+	size  int
+	crash *workload.CrashSchedule
+	fault *workload.MachineFaultSchedule
+	// chain is the checkpoint chain crash and fault recovery restore from
+	// (nil when neither they nor periodic checkpoints are on).
+	chain *memChain
+}
+
+// newRun builds the instance and its decorations; opt must already carry
+// its defaults.
+func newRun(algo Algorithm, opt Options) (*run, error) {
+	inst, err := algo.New(opt)
+	if err != nil {
+		return nil, err
+	}
+	r := &run{algo: algo, inst: inst, size: inst.MaxBatch()}
+	if opt.BatchSize > 0 && opt.BatchSize < r.size {
+		r.size = opt.BatchSize
+	}
 	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
 		if _, ok := inst.(Checkpointable); !ok {
-			return nil, opt, nil, fmt.Errorf("harness: %s does not support checkpoint/restore (CrashEvery/CheckpointEvery/FaultEvery)", algo.Name)
+			return nil, fmt.Errorf("harness: %s does not support checkpoint/restore (CrashEvery/CheckpointEvery/FaultEvery)", algo.Name)
 		}
-		chain = &memChain{maxDeltas: opt.MaxDeltaChain}
+		r.chain = &memChain{maxDeltas: opt.MaxDeltaChain}
 	}
 	if opt.CrashEvery > 0 {
-		crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
+		r.crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
 	}
 	if opt.FaultEvery > 0 {
 		if _, ok := inst.(Elastic); !ok {
-			return nil, opt, nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
+			return nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
 		}
-		fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
+		r.fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
 	}
-	gen := sc.New(opt.N, opt.Seed+1)
-	size := inst.MaxBatch()
-	if opt.BatchSize > 0 && opt.BatchSize < size {
-		size = opt.BatchSize
-	}
-	src := workload.NewGeneratorSource(gen, opt.Batches, size)
-	return driveSource(algo, sc.Name, inst, src, opt, size, crash, fault, chain)
+	return r, nil
 }
 
 // RunSource streams an external batch source (a replayed trace, a converted
@@ -369,43 +390,21 @@ func RunSource(algoName, streamName string, src workload.MirrorSource, opt Optio
 		return nil, fmt.Errorf("harness: %s needs weighted updates but source %s is unweighted", algoName, streamName)
 	}
 	opt = opt.withDefaults()
-	inst, err := algo.New(opt)
+	r, err := newRun(algo, opt)
 	if err != nil {
 		return nil, err
 	}
-	var crash *workload.CrashSchedule
-	var fault *workload.MachineFaultSchedule
-	var chain *memChain
-	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
-		if _, ok := inst.(Checkpointable); !ok {
-			return nil, fmt.Errorf("harness: %s does not support checkpoint/restore (CrashEvery/CheckpointEvery/FaultEvery)", algo.Name)
-		}
-		chain = &memChain{maxDeltas: opt.MaxDeltaChain}
-	}
-	if opt.CrashEvery > 0 {
-		crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
-	}
-	if opt.FaultEvery > 0 {
-		if _, ok := inst.(Elastic); !ok {
-			return nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
-		}
-		fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
-	}
-	size := inst.MaxBatch()
-	if opt.BatchSize > 0 && opt.BatchSize < size {
-		size = opt.BatchSize
-	}
-	_, _, rep, err := driveSource(algo, streamName, inst, src, opt, size, crash, fault, chain)
+	_, _, rep, err := r.drive(streamName, src, opt)
 	return rep, err
 }
 
-// driveSource is the shared engine of RunScenario and RunSource: it pulls
+// drive is the shared engine of RunScenario and RunSource: it pulls
 // batches from src until io.EOF, applies each (chunked to size), and runs
 // the differential checks and fault decorations at source-batch indices.
 // Empty batches advance the index without touching the instance, so a
 // stalled generator iteration and a skipped batch stay aligned with the
 // seeded crash/fault schedules.
-func driveSource(algo Algorithm, scName string, inst Instance, src workload.MirrorSource, opt Options, size int, crash *workload.CrashSchedule, fault *workload.MachineFaultSchedule, chain *memChain) (Instance, Options, *Report, error) {
+func (r *run) drive(scName string, src workload.MirrorSource, opt Options) (Instance, Options, *Report, error) {
 	// cur tracks the live cluster shape: machine-fault recovery shrinks
 	// VerticesPerMachine, and every rebuild (crash or fault) must use the
 	// current shape, not the original one. pending journals the batches
@@ -413,77 +412,77 @@ func driveSource(algo Algorithm, scName string, inst Instance, src workload.Mirr
 	cur := opt
 	var pending []graph.Batch
 	var err error
-	rep := &Report{Algorithm: algo.Name, Scenario: scName, Rounds: -1}
+	rep := &Report{Algorithm: r.algo.Name, Scenario: scName, Rounds: -1}
 	for i := 0; ; i++ {
 		b, serr := src.Next()
 		if serr == io.EOF {
 			break
 		}
 		if serr != nil {
-			return nil, cur, nil, fmt.Errorf("harness: %s over %s: batch %d: %w", algo.Name, scName, i, serr)
+			return nil, cur, nil, fmt.Errorf("harness: %s over %s: batch %d: %w", r.algo.Name, scName, i, serr)
 		}
 		if len(b) == 0 {
 			continue // stalled (e.g. saturated insert-only stream)
 		}
-		if fault != nil {
-			if _, dead := fault.Fault(inst.(Elastic).Machines()); dead {
+		if r.fault != nil {
+			if _, dead := r.fault.Fault(r.inst.(Elastic).Machines()); dead {
 				// The machine died while batch i was in flight: the
 				// poisoned batch never lands on the old fleet. Recovery
 				// re-shards the last checkpoint onto the survivors and
 				// replays pending; batch i itself is replayed by the
 				// Apply below, on the recovered instance.
-				inst, cur, err = faultReshard(algo, cur, chain, pending, size, rep)
+				r.inst, cur, err = faultReshard(r.algo, cur, r.chain, pending, r.size, rep)
 				if err != nil {
-					return nil, cur, nil, fmt.Errorf("harness: %s over %s: machine fault at batch %d: %w", algo.Name, scName, i, err)
+					return nil, cur, nil, fmt.Errorf("harness: %s over %s: machine fault at batch %d: %w", r.algo.Name, scName, i, err)
 				}
 				pending = pending[:0]
 				rep.ReplayedBatches++ // the in-flight batch
 			}
 		}
-		if err := applyChunked(inst, b, size); err != nil {
-			return nil, cur, nil, fmt.Errorf("harness: %s over %s: batch %d: %w", algo.Name, scName, i, err)
+		if err := applyChunked(r.inst, b, r.size); err != nil {
+			return nil, cur, nil, fmt.Errorf("harness: %s over %s: batch %d: %w", r.algo.Name, scName, i, err)
 		}
-		if fault != nil {
+		if r.fault != nil {
 			pending = append(pending, append(graph.Batch(nil), b...))
 		}
 		rep.Batches++
 		rep.Updates += len(b)
 		if opt.CheckEvery > 0 && (i+1)%opt.CheckEvery == 0 {
-			if err := inst.Check(src.Mirror()); err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s diverged at batch %d: %w", algo.Name, scName, i, err)
+			if err := r.inst.Check(src.Mirror()); err != nil {
+				return nil, cur, nil, fmt.Errorf("harness: %s over %s diverged at batch %d: %w", r.algo.Name, scName, i, err)
 			}
 			rep.Checks++
 		}
 		if opt.CheckpointEvery > 0 && (i+1)%opt.CheckpointEvery == 0 {
-			if err := chain.checkpoint(inst, rep); err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s: checkpoint at batch %d: %w", algo.Name, scName, i, err)
+			if err := r.chain.checkpoint(r.inst, rep); err != nil {
+				return nil, cur, nil, fmt.Errorf("harness: %s over %s: checkpoint at batch %d: %w", r.algo.Name, scName, i, err)
 			}
 			pending = pending[:0]
 		}
-		if crash != nil && crash.Crash() {
-			inst, err = killRestore(algo, cur, inst, chain, rep)
+		if r.crash != nil && r.crash.Crash() {
+			r.inst, err = killRestore(r.algo, cur, r.inst, r.chain, rep)
 			if err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s: crash at batch %d: %w", algo.Name, scName, i, err)
+				return nil, cur, nil, fmt.Errorf("harness: %s over %s: crash at batch %d: %w", r.algo.Name, scName, i, err)
 			}
 			rep.Crashes++
 			pending = pending[:0]
 		}
 	}
 	if opt.CheckEvery >= 0 {
-		if err := inst.Check(src.Mirror()); err != nil {
-			return nil, cur, nil, fmt.Errorf("harness: %s over %s diverged at end of stream: %w", algo.Name, scName, err)
+		if err := r.inst.Check(src.Mirror()); err != nil {
+			return nil, cur, nil, fmt.Errorf("harness: %s over %s diverged at end of stream: %w", r.algo.Name, scName, err)
 		}
 		rep.Checks++
-		if fc, ok := inst.(finalChecker); ok {
+		if fc, ok := r.inst.(finalChecker); ok {
 			if err := fc.FinalCheck(src.Mirror()); err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s failed the final check: %w", algo.Name, scName, err)
+				return nil, cur, nil, fmt.Errorf("harness: %s over %s failed the final check: %w", r.algo.Name, scName, err)
 			}
 			rep.Checks++
 		}
 	}
 	rep.FinalEdges = src.Mirror().M()
-	rep.Rounds = inst.Rounds()
-	return inst, cur, rep, nil
+	rep.Rounds = r.inst.Rounds()
+	return r.inst, cur, rep, nil
 }
 
 // applyChunked feeds one source batch to the instance in pieces of at most

@@ -48,12 +48,16 @@
 //
 // # Checkpointing
 //
-// Close drains every queue (new updates get 503), then — when
-// Config.CheckpointDir is set — checkpoints every instance into
-// instance-NNN.snap files via snapshot.WriteFileAtomic (temp file, fsync,
-// rename), so a crash during shutdown never truncates a previous good
-// checkpoint. New restores any instance whose snapshot file exists, after
-// config-echo validation, and the restored label cache keeps warm queries
+// Each instance's durable state is an internal/session Session — engine,
+// admission mirror, update journal, config echo — so its checkpoints have
+// the same layout mpcstream writes. Close drains every queue (new updates
+// get 503), then — when Config.CheckpointDir is set — checkpoints every
+// instance through its snapshot.Chain: a full base at instance-NNN.snap,
+// then instance-NNN.snap.delta-NNN files, each written atomically (temp
+// file, fsync, rename) so a crash during shutdown never truncates a
+// previous good checkpoint. New resumes any instance whose chain has a
+// base (session.Resume) and cross-checks the restored N, Phi and Seed
+// against the configuration; the restored label cache keeps warm queries
 // warm: answers after a graceful restart are bit-identical to a process
 // that never restarted.
 //

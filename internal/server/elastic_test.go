@@ -85,8 +85,9 @@ func TestServerResizeLifecycle(t *testing.T) {
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("update status %d", resp.StatusCode)
 			}
+			// Drain after every post: the batches outnumber QueueDepth.
+			waitDrained(t, srv.insts[0])
 		}
-		waitDrained(t, srv.insts[0])
 	}
 	verify := func(context string) {
 		t.Helper()

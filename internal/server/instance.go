@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -12,20 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/session"
 	"repro/internal/snapshot"
-)
-
-// Section tags of the server layer of an instance snapshot: run metadata
-// (config echo + restore-cycle count) and the admission mirror, written
-// ahead of the connectivity state. Delta containers use their own pair: the
-// meta echo is repeated (cheap, and it keeps every container
-// self-validating) while the mirror section carries only the update journal
-// accumulated since the last acknowledged checkpoint.
-const (
-	tagServerMeta        = 0x60
-	tagServerMirror      = 0x61
-	tagServerMetaDelta   = 0x62
-	tagServerMirrorDelta = 0x63
 )
 
 // latencyBuckets are the upper bounds, in seconds, of the batch-apply
@@ -45,13 +31,20 @@ type badBatchError struct{ err error }
 func (e *badBatchError) Error() string { return e.err.Error() }
 func (e *badBatchError) Unwrap() error { return e.err }
 
-// instance is one independently served graph: a DynamicConnectivity under
-// the single-writer/many-reader lock, a bounded update queue drained by one
-// applier goroutine, and an admission mirror that keeps every queued batch
-// valid by construction.
+// instance is one independently served graph: a durable session (engine,
+// admission mirror, journal, checkpoint state) behind the
+// single-writer/many-reader lock, a bounded update queue drained by one
+// applier goroutine, and the instance's metrics. The session admits every
+// batch against its mirror before it is queued, so queued batches are valid
+// by construction.
 type instance struct {
 	id  int
 	cfg core.Config
+
+	// sess is the instance's durable state. Its admission half (Admit: the
+	// mirror and the journal) is guarded by adm, its engine half (Apply) by
+	// mu; checkpoints and resizes hold both.
+	sess *session.Session
 
 	// adm serializes admission: the mirror check, the mirror apply, and the
 	// enqueue happen atomically, so the queue always holds batches that are
@@ -59,12 +52,7 @@ type instance struct {
 	// (only the applier removes elements).
 	adm       sync.Mutex
 	accepting bool
-	mirror    *graph.Graph
 	queue     chan graph.Batch
-	// mirrorDelta journals every admitted update since the last acknowledged
-	// checkpoint (guarded by adm, like the mirror it shadows); delta
-	// checkpoints ship it instead of the whole mirror edge set.
-	mirrorDelta graph.Batch
 
 	// chain is the on-disk checkpoint chain (nil when checkpointing is off).
 	// Only the quiesced checkpoint path touches it.
@@ -79,19 +67,13 @@ type instance struct {
 
 	// mu is the instance's single-writer/many-reader contract lock: the
 	// applier applies batches under Lock, handlers answer queries under
-	// RLock (see the core query engine's concurrency contract). dc is an
-	// atomic pointer because an elastic resize swaps in a fresh fleet
-	// (holding both adm and mu) while lock-free paths — MaxBatch sizing in
-	// admission, metric scrapes — read it concurrently.
+	// RLock (see the core query engine's concurrency contract). dc mirrors
+	// the session's engine in an atomic pointer because an elastic resize
+	// swaps in a fresh fleet (holding both adm and mu) while lock-free
+	// paths — MaxBatch sizing in admission, metric scrapes — read it
+	// concurrently.
 	mu sync.RWMutex
 	dc atomic.Pointer[core.DynamicConnectivity]
-
-	// vpm is the live VerticesPerMachine override (0 = the config default
-	// shape). It tracks dc across resizes and is persisted in every
-	// checkpoint's meta echo so a restart rebuilds the fleet at the shape
-	// the snapshot was cut at. cfg itself stays immutable — handlers read
-	// cfg.N without locks.
-	vpm atomic.Int64
 
 	// quiesced is true while admission is deliberately paused (a quiesced
 	// checkpoint or a resize); per-instance readiness reports 503 for its
@@ -106,7 +88,6 @@ type instance struct {
 	updatesApplied  atomic.Uint64
 	batchesRejected atomic.Uint64
 	queryBatches    atomic.Uint64
-	restoreCycles   atomic.Uint64
 	rounds          atomic.Int64
 	applyNanos      atomic.Int64
 	applyCount      atomic.Uint64
@@ -131,25 +112,51 @@ type instance struct {
 // traffic afterwards (its state may be mid-batch).
 type applyFailure struct{ err error }
 
-// newInstance builds an instance and starts its applier.
+// newInstance builds an instance over a fresh session and starts its
+// applier.
 func newInstance(id int, cfg core.Config, queueDepth int) (*instance, error) {
-	dc, err := core.NewDynamicConnectivity(cfg)
+	sess, err := session.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: instance %d: %w", id, err)
 	}
+	return startInstance(id, cfg, sess, nil, queueDepth), nil
+}
+
+// openInstance resumes instance id from its checkpoint chain under dir, or
+// starts it fresh when the chain has no base. A restored session must echo
+// the instance's configured N, Phi and Seed.
+func openInstance(id int, cfg core.Config, dir string, maxDeltas, queueDepth int) (*instance, error) {
+	path := instancePath(dir, id)
+	sess, chain, err := session.Resume(path, maxDeltas, cfg.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("server: restore instance %d from %s: %w", id, path, err)
+	}
+	if sess == nil {
+		if sess, err = session.New(cfg); err != nil {
+			return nil, fmt.Errorf("server: instance %d: %w", id, err)
+		}
+	} else if got := sess.Config(); got.N != cfg.N || got.Phi != cfg.Phi || got.Seed != cfg.Seed {
+		return nil, fmt.Errorf("server: restore instance %d from %s: server: snapshot holds (n=%d, phi=%v, seed=%d), instance %d is configured (n=%d, phi=%v, seed=%d)",
+			id, path, got.N, got.Phi, got.Seed, id, cfg.N, cfg.Phi, cfg.Seed)
+	}
+	return startInstance(id, cfg, sess, chain, queueDepth), nil
+}
+
+// startInstance wraps sess and starts the applier.
+func startInstance(id int, cfg core.Config, sess *session.Session, chain *snapshot.Chain, queueDepth int) *instance {
 	in := &instance{
 		id:        id,
 		cfg:       cfg,
+		sess:      sess,
 		accepting: true,
-		mirror:    graph.New(cfg.N),
 		queue:     make(chan graph.Batch, queueDepth),
+		chain:     chain,
 	}
-	in.dc.Store(dc)
-	in.vpm.Store(int64(cfg.VerticesPerMachine))
+	in.dc.Store(sess.DC())
 	in.pendCond = sync.NewCond(&in.pendMu)
 	in.wg.Add(1)
 	go in.applier()
-	return in, nil
+	return in
 }
 
 // applier is the instance's single writer: it drains the queue and applies
@@ -162,9 +169,8 @@ func (in *instance) applier() {
 	for b := range in.queue {
 		start := time.Now()
 		in.mu.Lock()
-		dc := in.dc.Load()
-		err := dc.ApplyBatch(b)
-		rounds := dc.Cluster().Stats().Rounds
+		err := in.sess.Apply(b)
+		rounds := in.sess.DC().Cluster().Stats().Rounds
 		in.mu.Unlock()
 		in.observeApply(time.Since(start))
 		in.rounds.Store(int64(rounds))
@@ -234,10 +240,10 @@ func (in *instance) failed() error {
 	return nil
 }
 
-// offer validates b against the admission mirror and enqueues it for the
-// applier. It returns errQueueFull (backpressure: the caller retries),
-// errDraining (shutdown), a *badBatchError (the batch is invalid against
-// the current graph), or nil on a successful enqueue.
+// offer admits b into the session and enqueues it for the applier. It
+// returns errQueueFull (backpressure: the caller retries), errDraining
+// (shutdown), a *badBatchError (the batch is invalid against the current
+// graph), or nil on a successful enqueue.
 func (in *instance) offer(b graph.Batch) error {
 	if err := in.failed(); err != nil {
 		return err
@@ -251,18 +257,15 @@ func (in *instance) offer(b graph.Batch) error {
 		in.batchesRejected.Add(1)
 		return errQueueFull
 	}
-	if err := validateBatch(in.mirror, b); err != nil {
+	if err := in.sess.Admit(b); err != nil {
 		return &badBatchError{err}
 	}
-	if err := in.mirror.Apply(b); err != nil {
-		// Unreachable after validateBatch; fail loudly rather than desync.
-		return fmt.Errorf("admission mirror diverged: %w", err)
-	}
-	in.queue <- b
-	in.mirrorDelta = append(in.mirrorDelta, b...)
+	// Count the batch pending before the applier can see it, so pending
+	// never dips below the number of batches not yet applied.
 	in.pendMu.Lock()
 	in.pending++
 	in.pendMu.Unlock()
+	in.queue <- b
 	return nil
 }
 
@@ -275,40 +278,6 @@ func (in *instance) waitIdle() {
 		in.pendCond.Wait()
 	}
 	in.pendMu.Unlock()
-}
-
-// validateBatch checks that b applies cleanly to g as one atomic batch:
-// every vertex in range, no self-loops, each edge touched at most once (so
-// sequential validity equals independent validity), inserts only of absent
-// edges, deletes only of present ones.
-func validateBatch(g *graph.Graph, b graph.Batch) error {
-	touched := make(map[graph.Edge]bool, len(b))
-	for i, up := range b {
-		e := up.Edge.Canonical()
-		if e.U == e.V {
-			return fmt.Errorf("update %d: self-loop {%d,%d}", i, e.U, e.V)
-		}
-		if e.U < 0 || e.V >= g.N() {
-			return fmt.Errorf("update %d: edge {%d,%d} outside vertex range [0,%d)", i, e.U, e.V, g.N())
-		}
-		if touched[e] {
-			return fmt.Errorf("update %d: edge {%d,%d} touched twice in one batch", i, e.U, e.V)
-		}
-		touched[e] = true
-		switch up.Op {
-		case graph.Insert:
-			if g.Has(e.U, e.V) {
-				return fmt.Errorf("update %d: insert of present edge {%d,%d}", i, e.U, e.V)
-			}
-		case graph.Delete:
-			if !g.Has(e.U, e.V) {
-				return fmt.Errorf("update %d: delete of absent edge {%d,%d}", i, e.U, e.V)
-			}
-		default:
-			return fmt.Errorf("update %d: unknown op %v", i, up.Op)
-		}
-	}
-	return nil
 }
 
 // drain stops admission (new offers get errDraining) and waits until every
@@ -328,123 +297,26 @@ func instancePath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("instance-%03d.snap", id))
 }
 
-// Checkpoint implements snapshot.Checkpointer. The caller must have drained
-// the instance (or otherwise hold it exclusively): Close checkpoints only
-// after drain, so no applier or query traffic is in flight.
-func (in *instance) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagServerMeta)
-	e.Int(in.cfg.N)
-	e.F64(in.cfg.Phi)
-	e.U64(in.cfg.Seed)
-	e.U64(in.restoreCycles.Load())
-	e.Int(int(in.vpm.Load()))
-	e.Begin(tagServerMirror)
-	snapshot.EncodeGraph(e, in.mirror)
-	in.dc.Load().Checkpoint(e)
-}
-
-// checkMeta validates a config echo against the instance's configuration.
-func (in *instance) checkMeta(n int, phi float64, seed uint64) error {
-	if n != in.cfg.N || phi != in.cfg.Phi || seed != in.cfg.Seed {
-		return fmt.Errorf("server: snapshot holds (n=%d, phi=%v, seed=%d), instance %d is configured (n=%d, phi=%v, seed=%d)",
-			n, phi, seed, in.id, in.cfg.N, in.cfg.Phi, in.cfg.Seed)
+// quiesce pauses the instance for exclusive access to its session:
+// admission is held, readiness reports 503, every enqueued batch is
+// applied, and the write lock is taken. It returns the instance's terminal
+// error instead when the instance has failed. The returned func resumes
+// serving.
+func (in *instance) quiesce() (func(), error) {
+	in.adm.Lock()
+	in.quiesced.Store(true)
+	in.waitIdle()
+	if err := in.failed(); err != nil {
+		in.quiesced.Store(false)
+		in.adm.Unlock()
+		return nil, err
 	}
-	return nil
-}
-
-// Restore implements snapshot.Restorer: it loads a full snapshot into this
-// freshly constructed instance, after validating the config echo, and bumps
-// the restore-cycle counter (which persists across restarts via the meta
-// section).
-func (in *instance) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagServerMeta)
-	n, phi, seed, cycles := d.Int(), d.F64(), d.U64(), d.U64()
-	svpm := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := in.checkMeta(n, phi, seed); err != nil {
-		return err
-	}
-	if int64(svpm) != in.vpm.Load() {
-		// The snapshot was cut after a resize: rebuild the fleet at the
-		// persisted shape before restoring into it, so a restarted server
-		// resumes at the machine count the instance last ran at.
-		cfg := in.cfg
-		cfg.VerticesPerMachine = svpm
-		dc, err := core.NewDynamicConnectivity(cfg)
-		if err != nil {
-			return fmt.Errorf("server: instance %d: rebuilding at snapshot shape (VerticesPerMachine=%d): %w", in.id, svpm, err)
-		}
-		in.dc.Store(dc)
-		in.vpm.Store(int64(svpm))
-	}
-	d.Begin(tagServerMirror)
-	if err := snapshot.DecodeGraphInto(d, in.mirror); err != nil {
-		return err
-	}
-	if err := in.dc.Load().Restore(d); err != nil {
-		return err
-	}
-	in.restoreCycles.Store(cycles + 1)
-	return nil
-}
-
-// CheckpointDelta implements snapshot.DeltaCheckpointer: the meta echo is
-// repeated in full (it is tiny and keeps each container self-validating),
-// but the mirror section carries only the updates admitted since the last
-// acknowledged checkpoint — replaying them onto the restored base mirror
-// reproduces the full mirror exactly. Same quiescence contract as
-// Checkpoint.
-func (in *instance) CheckpointDelta(e *snapshot.Encoder) {
-	e.Begin(tagServerMetaDelta)
-	e.Int(in.cfg.N)
-	e.F64(in.cfg.Phi)
-	e.U64(in.cfg.Seed)
-	e.U64(in.restoreCycles.Load())
-	e.Int(int(in.vpm.Load()))
-	e.Begin(tagServerMirrorDelta)
-	snapshot.EncodeUpdates(e, in.mirrorDelta)
-	in.dc.Load().CheckpointDelta(e)
-}
-
-// RestoreDelta implements snapshot.DeltaRestorer: it replays one delta on
-// top of the previously restored state. The restore-cycle counter is carried
-// in every delta, so the tip delta's count wins — deltas appended after a
-// restart carry the post-restart count.
-func (in *instance) RestoreDelta(d *snapshot.Decoder) error {
-	d.Begin(tagServerMetaDelta)
-	n, phi, seed, cycles := d.Int(), d.F64(), d.U64(), d.U64()
-	svpm := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := in.checkMeta(n, phi, seed); err != nil {
-		return err
-	}
-	if int64(svpm) != in.vpm.Load() {
-		// Deltas never span a resize: every resize re-bases the chain with a
-		// full checkpoint at the new shape, so a shape mismatch here means
-		// the chain is corrupt.
-		return fmt.Errorf("server: delta written at VerticesPerMachine=%d cannot extend a base restored at %d", svpm, in.vpm.Load())
-	}
-	d.Begin(tagServerMirrorDelta)
-	if err := snapshot.DecodeUpdatesInto(d, in.mirror); err != nil {
-		return err
-	}
-	if err := in.dc.Load().RestoreDelta(d); err != nil {
-		return err
-	}
-	in.restoreCycles.Store(cycles + 1)
-	return nil
-}
-
-// AckCheckpoint implements snapshot.DeltaState: the chain calls it once the
-// container is durably on disk, making the written state the new delta
-// baseline.
-func (in *instance) AckCheckpoint() {
-	in.mirrorDelta = nil
-	in.dc.Load().AckCheckpoint()
+	in.mu.Lock()
+	return func() {
+		in.mu.Unlock()
+		in.quiesced.Store(false)
+		in.adm.Unlock()
+	}, nil
 }
 
 // checkpointQuiesced cuts a checkpoint (full or delta, the chain decides)
@@ -456,18 +328,20 @@ func (in *instance) checkpointQuiesced() error {
 	if in.chain == nil {
 		return nil
 	}
-	in.adm.Lock()
-	defer in.adm.Unlock()
-	in.quiesced.Store(true)
-	defer in.quiesced.Store(false)
-	in.waitIdle()
-	if err := in.failed(); err != nil {
+	resume, err := in.quiesce()
+	if err != nil {
 		return fmt.Errorf("skipping checkpoint: %w", err)
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	defer resume()
+	return in.checkpoint()
+}
+
+// checkpoint writes the chain's next container and records it in the
+// metrics by kind. A write failure marks the instance failed. The caller
+// holds the instance quiesced.
+func (in *instance) checkpoint() error {
 	start := time.Now()
-	kind, bytes, err := in.chain.Checkpoint(in)
+	kind, bytes, err := in.chain.Checkpoint(in.sess)
 	nanos := int64(time.Since(start))
 	if err != nil {
 		in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("checkpoint: %w", err)})
@@ -486,71 +360,27 @@ func (in *instance) checkpointQuiesced() error {
 	return nil
 }
 
-// resizeError wraps a resize failure with the HTTP status it maps onto: 400
-// for a shape no equal-range partition realizes, 409 for a migration the
-// target fleet's memory budget rejects.
-type resizeError struct {
-	status int
-	err    error
-}
-
-func (e *resizeError) Error() string { return e.err.Error() }
-func (e *resizeError) Unwrap() error { return e.err }
-
-// resize migrates the instance's live state onto a fleet of exactly machines
-// machines: admission pauses (readiness flips to 503), the queue drains, the
-// quiesced state is checkpointed in memory, and a fresh fleet at the target
-// shape restores it through the re-sharding path. A memory-cap rejection —
-// shrinking the per-machine budget below what the migrated state needs —
-// leaves the instance untouched, still serving at its old shape. On success
-// the on-disk chain (if any) is re-based with a full checkpoint at the new
-// shape, so a restart resumes there and no delta ever extends old-shape
-// containers.
+// resize migrates the instance onto a fleet of exactly machines machines
+// (session.Resize) while quiesced. A refused resize — a *session.ResizeError
+// — leaves the instance serving at its old shape. On success the on-disk
+// chain (if any) is re-based with a full checkpoint at the new shape, so a
+// restart resumes there and no delta ever extends old-shape containers.
 func (in *instance) resize(machines int) error {
-	cfg := in.cfg
-	cfg.VerticesPerMachine = int(in.vpm.Load())
-	tcfg, err := core.ResizeConfig(cfg, machines)
+	resume, err := in.quiesce()
 	if err != nil {
-		return &resizeError{http.StatusBadRequest, err}
-	}
-	in.adm.Lock()
-	defer in.adm.Unlock()
-	in.quiesced.Store(true)
-	defer in.quiesced.Store(false)
-	in.waitIdle()
-	if err := in.failed(); err != nil {
 		return err
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	defer resume()
 	start := time.Now()
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, in.dc.Load()); err != nil {
-		return fmt.Errorf("instance %d resize: checkpoint: %w", in.id, err)
+	if err := in.sess.Resize(machines); err != nil {
+		return fmt.Errorf("instance %d resize to %d machines: %w", in.id, machines, err)
 	}
-	fresh, err := core.NewDynamicConnectivity(tcfg)
-	if err != nil {
-		return fmt.Errorf("instance %d resize: %w", in.id, err)
-	}
-	if err := snapshot.Reshard(bytes.NewReader(buf.Bytes()), fresh); err != nil {
-		return &resizeError{http.StatusConflict,
-			fmt.Errorf("instance %d resize to %d machines: %w", in.id, machines, err)}
-	}
-	in.dc.Store(fresh)
-	in.vpm.Store(int64(tcfg.VerticesPerMachine))
+	in.dc.Store(in.sess.DC())
 	in.reshardCount.Add(1)
 	in.reshardNanos.Add(int64(time.Since(start)))
-	if in.chain != nil {
-		in.chain.Rebase()
-		ckStart := time.Now()
-		_, nbytes, err := in.chain.Checkpoint(in) // always full after Rebase
-		if err != nil {
-			in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("post-resize checkpoint: %w", err)})
-			return fmt.Errorf("instance %d post-resize checkpoint: %w", in.id, err)
-		}
-		in.ckptFullCount.Add(1)
-		in.ckptFullBytes.Add(uint64(nbytes))
-		in.ckptFullNanos.Add(int64(time.Since(ckStart)))
+	if in.chain == nil {
+		return nil
 	}
-	return nil
+	in.chain.Rebase()
+	return in.checkpoint() // always full after Rebase
 }

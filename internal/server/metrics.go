@@ -41,7 +41,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("mpcserve_query_batches_total", "Query batches answered (connectivity and component lookups).",
 		func(in *instance) uint64 { return in.queryBatches.Load() })
 	counter("mpcserve_restore_cycles_total", "Checkpoint/restore cycles this instance has survived.",
-		func(in *instance) uint64 { return in.restoreCycles.Load() })
+		func(in *instance) uint64 { return in.sess.RestoreCycles() })
 	counter("mpcserve_reshard_total", "Elastic resizes completed (state migrated onto a new machine count).",
 		func(in *instance) uint64 { return in.reshardCount.Load() })
 	const reshardSec = "mpcserve_reshard_seconds"

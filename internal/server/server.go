@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/snapshot"
+	"repro/internal/session"
 )
 
 // maxBodyBytes bounds request bodies: a batch never legitimately needs more
@@ -108,24 +108,18 @@ func New(cfg Config) (*Server, error) {
 			Seed:        cfg.Seed + uint64(i)*0x9e3779b9,
 			Parallelism: cfg.Parallelism,
 		}
-		in, err := newInstance(i, icfg, cfg.QueueDepth)
+		var in *instance
+		var err error
+		if cfg.CheckpointDir == "" {
+			in, err = newInstance(i, icfg, cfg.QueueDepth)
+		} else {
+			in, err = openInstance(i, icfg, cfg.CheckpointDir, cfg.MaxDeltaChain, cfg.QueueDepth)
+		}
 		if err != nil {
 			s.stopInstances()
 			return nil, err
 		}
 		s.insts = append(s.insts, in)
-		if cfg.CheckpointDir != "" {
-			path := instancePath(cfg.CheckpointDir, i)
-			if _, err := snapshot.SweepStaleTemps(path); err != nil {
-				s.stopInstances()
-				return nil, fmt.Errorf("server: sweeping stale temps for instance %d: %w", i, err)
-			}
-			in.chain = snapshot.OpenChain(path, cfg.MaxDeltaChain)
-			if _, err := in.chain.Restore(in); err != nil {
-				s.stopInstances()
-				return nil, fmt.Errorf("server: restore instance %d from %s: %w", i, path, err)
-			}
-		}
 	}
 	s.routes()
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
@@ -453,12 +447,15 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := in.resize(machines); err != nil {
-		var re *resizeError
-		if errors.As(err, &re) {
-			http.Error(w, re.Error(), re.status)
-			return
+		status := http.StatusInternalServerError
+		var re *session.ResizeError
+		switch {
+		case errors.As(err, &re) && re.OverBudget:
+			status = http.StatusConflict
+		case errors.As(err, &re):
+			status = http.StatusBadRequest
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	writeJSON(w, http.StatusOK, ResizeResponse{

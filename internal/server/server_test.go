@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/graph"
 )
 
 // testConfig is a small fleet that keeps unit tests fast.
@@ -60,20 +58,21 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// waitDrained blocks until the instance's queue is empty and applied.
+// waitDrained blocks until every batch admitted so far has been applied:
+// it waits on the instance's pending count, which the applier decrements
+// only after a batch is fully applied.
 func waitDrained(t *testing.T, in *instance) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(in.queue) > 0 || in.batchesApplied.Load()+in.batchesRejected.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never drained")
-		}
-		time.Sleep(time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		in.waitIdle()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("queue never drained")
 	}
-	// One more round trip through the applier: queue empty does not mean the
-	// in-flight batch finished; a write-lock acquisition does.
-	in.mu.Lock()
-	in.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 }
 
 func TestServerUpdateQueryFlow(t *testing.T) {
@@ -262,10 +261,10 @@ func TestServerCheckpointRestore(t *testing.T) {
 
 	srv2, ts2 := newTestServer(t, cfg)
 	for _, in := range srv2.insts {
-		if got := in.restoreCycles.Load(); got != 1 {
+		if got := in.sess.RestoreCycles(); got != 1 {
 			t.Errorf("instance %d: restore cycles = %d, want 1", in.id, got)
 		}
-		if got := in.mirror.M(); got != 3 {
+		if got := in.sess.Mirror().M(); got != 3 {
 			t.Errorf("instance %d: restored mirror has %d edges, want 3", in.id, got)
 		}
 	}
@@ -370,32 +369,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestValidateBatch(t *testing.T) {
-	g := graph.New(8)
-	if err := g.Insert(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	ok := graph.Batch{graph.Ins(2, 3), graph.Del(0, 1)}
-	if err := validateBatch(g, ok); err != nil {
-		t.Errorf("valid batch refused: %v", err)
-	}
-	for name, b := range map[string]graph.Batch{
-		"dup insert":    {graph.Ins(0, 1)},
-		"absent delete": {graph.Del(4, 5)},
-		"touch twice":   {graph.Ins(2, 3), graph.Del(2, 3)},
-		"out of range":  {{Op: graph.Insert, Edge: graph.Edge{U: 0, V: 99}}},
-		"negative":      {{Op: graph.Insert, Edge: graph.Edge{U: -1, V: 2}}},
-	} {
-		if err := validateBatch(g, b); err == nil {
-			t.Errorf("%s: batch accepted", name)
-		}
-	}
-	// validateBatch never mutates the graph.
-	if g.M() != 1 {
-		t.Errorf("validation mutated the graph: M = %d", g.M())
-	}
-}
-
 // TestServerDeltaCheckpointChain is the server-side chain contract: a
 // second graceful shutdown writes a delta (the base already exists), and a
 // fleet restored from base+delta answers bit-identically to the fleet that
@@ -457,7 +430,7 @@ func TestServerDeltaCheckpointChain(t *testing.T) {
 	// cache must be warm (no collective ran for the repeated query).
 	srv3, ts3 := newTestServer(t, cfg)
 	for _, in := range srv3.insts {
-		if got := in.restoreCycles.Load(); got != 2 {
+		if got := in.sess.RestoreCycles(); got != 2 {
 			t.Errorf("instance %d: restore cycles = %d, want 2", in.id, got)
 		}
 	}
@@ -539,5 +512,37 @@ func TestServerPeriodicCheckpoint(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/instances/0/query", QueryRequest{Pairs: [][2]int{{0, 1}}})
 	if got := decodeJSON[QueryResponse](t, resp); !got.Connected[0] {
 		t.Error("query answered wrong during background checkpointing")
+	}
+}
+
+// TestServerRejectsMismatchedSnapshot pins the restore cross-check: a
+// checkpoint dir written under one configuration refuses to start a fleet
+// configured differently, naming both sides.
+func TestServerRejectsMismatchedSnapshot(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.CheckpointDir = t.TempDir()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(c *Config){
+		"n":    func(c *Config) { c.N = 48 },
+		"phi":  func(c *Config) { c.Phi = 0.5 },
+		"seed": func(c *Config) { c.Seed++ },
+	} {
+		bad := cfg
+		mut(&bad)
+		srv, err := New(bad)
+		if err == nil {
+			srv.Close()
+			t.Errorf("%s mismatch: fleet started from a foreign checkpoint", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "snapshot holds") {
+			t.Errorf("%s mismatch: error %q lacks the config-echo diagnostic", name, err)
+		}
 	}
 }

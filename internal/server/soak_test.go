@@ -212,7 +212,7 @@ func TestServerSoak(t *testing.T) {
 	defer ts2.Close()
 	defer srv2.Close()
 	for _, in := range srv2.insts {
-		if got := in.restoreCycles.Load(); got != 1 {
+		if got := in.sess.RestoreCycles(); got != 1 {
 			t.Errorf("instance %d: restore cycles = %d, want 1", in.id, got)
 		}
 	}

@@ -14,8 +14,10 @@ import (
 const Magic uint64 = 0x4d5043534e415031
 
 // Version is the current snapshot format version. See the package comment
-// for the version policy.
-const Version uint64 = 1
+// for the version policy. Version 2 replaced the separate mpcserve and
+// mpcstream instance sections with the single internal/session layout; the
+// core state sections are unchanged.
+const Version uint64 = 2
 
 // headerWords is the container overhead: magic, version, payload length,
 // and the trailing CRC word.

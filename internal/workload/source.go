@@ -158,14 +158,6 @@ func NewMirrored(src BatchSource) *Mirrored {
 	return &Mirrored{src: src, g: graph.New(src.Shape().N)}
 }
 
-// NewMirroredFrom returns a validating replay whose mirror starts from g
-// instead of an empty graph: the checkpoint-resume path of the CLIs, where
-// a recorded stream continues a restored graph. The replay owns g
-// afterwards.
-func NewMirroredFrom(g *graph.Graph, src BatchSource) *Mirrored {
-	return &Mirrored{src: src, g: g}
-}
-
 // Next implements BatchSource, validating the batch against the mirror.
 func (m *Mirrored) Next() (graph.Batch, error) {
 	b, err := m.src.Next()
