@@ -43,7 +43,9 @@ type Connectivity struct {
 	cl    *mpc.Cluster
 	part  mpc.Partition
 	coord int
-	space *sketch.Space
+	// copies[r] is the single-copy range [r, r+1) of the vertex sketches'
+	// space: Borůvka round r reads copy r only, so it ships only that copy.
+	copies []*sketch.Space
 }
 
 // Config parameterizes the baseline; it mirrors core.Config.
@@ -89,7 +91,9 @@ func New(cfg Config) (*Connectivity, error) {
 		cl:    cl,
 		part:  mpc.Partition{N: cfg.N, Machines: m - 1},
 		coord: m - 1,
-		space: space,
+	}
+	for r := 0; r < t; r++ {
+		c.copies = append(c.copies, space.Range(r, r+1))
 	}
 	cl.LocalAll(func(mm *mpc.Machine) {
 		if mm.ID == c.coord {
@@ -163,17 +167,18 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 	})
 	rounds := 0
 	var forest []graph.Edge
-	for r := 0; r < c.space.Copies(); r++ {
+	for _, copyR := range c.copies {
 		rounds++
-		merged := c.mergeSupernodeSketches()
-		// Each supernode samples one outgoing edge with its copy-r sketch.
+		merged := c.mergeSupernodeSketches(copyR)
+		// Each supernode samples one outgoing edge with its copy-r sketch,
+		// copy 0 of the single-copy range.
 		hooks := map[int]int{}           // label -> candidate neighbor label
 		hookEdge := map[int]graph.Edge{} // label -> the sampled edge used
 		var candidates []graph.Edge
 		var labelsOfCand []int
 		hadFail := false
 		for _, lab := range sortedIntKeys(merged) {
-			e, res := merged[lab].Query(r)
+			e, res := merged[lab].Query(0)
 			switch res {
 			case sketch.Found:
 				candidates = append(candidates, graph.EdgeFromID(e, c.n))
@@ -273,20 +278,21 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 	return out, rounds, forest
 }
 
-// mergeSupernodeSketches sums vertex sketches by current label and gathers
-// the per-label sums to the coordinator as [label, cells...] frames of the
-// batched message codec. (The volume is bounded by the number of active
-// supernodes; the experiments use graphs whose supernode count shrinks
-// geometrically, the regime AGM is designed for.)
-func (c *Connectivity) mergeSupernodeSketches() map[int]sketch.Sketch {
-	return sketchcodec.AggregateByLabel(c.cl, c.coord, c.space,
+// mergeSupernodeSketches sums the copies in wave (a copy range of the
+// vertex sketches' space) of the vertex sketches by current label and
+// gathers the per-label sums to the coordinator as [label, cells...] frames
+// of the batched message codec. (The volume is bounded by the number of
+// active supernodes; the experiments use graphs whose supernode count
+// shrinks geometrically, the regime AGM is designed for.)
+func (c *Connectivity) mergeSupernodeSketches(wave *sketch.Space) map[int]sketch.Sketch {
+	return sketchcodec.AggregateByLabel(c.cl, c.coord, wave,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
 			sh, ok := mm.Get(slotShard).(*shard)
 			if !ok {
 				return
 			}
 			for i, l := range sh.labels {
-				add(l, sh.arena.At(i))
+				add(l, wave.ViewOf(sh.arena.At(i)))
 			}
 		})
 }

@@ -32,8 +32,8 @@ func (s *sketchShard) Words() int { return s.arena.Words() + 1 }
 func (s *sketchShard) of(v int) sketch.VertexSketch { return s.arena.VertexAt(v-s.lo, s.n) }
 
 // workspace is the coordinator's transient state during the replacement
-// search: the merged sketch of every supernode (views into the aggregated
-// batch buffer).
+// search: the merged sketch of every supernode over the copy range of the
+// live wave (views into the aggregated batch buffer), perSk words each.
 type workspace struct {
 	sketches map[int]sketch.Sketch
 	perSk    int
@@ -60,7 +60,21 @@ func (w *workspace) Words() int { return len(w.sketches) * w.perSk }
 type DynamicConnectivity struct {
 	f     *Forest
 	space *sketch.Space
+	// waves are the copy ranges [0, w) and [w, t) of space that the
+	// replacement search ships in turn (see findReplacements). waves[1] is
+	// nil when w = t.
+	waves [2]*sketch.Space
+	// aggregations counts fragment-sketch aggregation collectives, one per
+	// wave shipped.
+	aggregations int
 }
+
+// waveOneCopies is the number w of sketch copies the replacement search
+// ships before its first query: enough for every search measured on the
+// registered scenarios at n = 4096 to finish without a second wave (the
+// deepest read copy index 7). Tests lower or raise it to force one or two
+// waves; the answers do not depend on it.
+var waveOneCopies = 8
 
 // NewDynamicConnectivity builds the distributed state for an initially
 // empty graph on cfg.N vertices.
@@ -75,6 +89,11 @@ func NewDynamicConnectivity(cfg Config) (*DynamicConnectivity, error) {
 		return nil, err
 	}
 	dc := &DynamicConnectivity{f: f, space: space}
+	w := min(waveOneCopies, space.Copies())
+	dc.waves[0] = space.Range(0, w)
+	if w < space.Copies() {
+		dc.waves[1] = space.Range(w, space.Copies())
+	}
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		vs := vShard(mm)
 		if vs == nil {
@@ -236,11 +255,13 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 // aggregateFragmentSketches merges the vertex sketches of every fragment
 // produced by the preceding Cut (keyed by the fragment's fresh component
 // id) and delivers them to the coordinator: Lemma 6.5's sketch-merging step,
-// O(1/φ) rounds through the aggregation tree. Sketches travel as
+// O(1/φ) rounds through the aggregation tree. Only the copies of wave, a
+// copy range of the vertex sketches' space, are shipped. Sketches travel as
 // [label, cells...] frames of the batched message codec and come back as
 // views into the final batch buffer.
-func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch {
-	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space,
+func (dc *DynamicConnectivity) aggregateFragmentSketches(wave *sketch.Space) map[int]sketch.Sketch {
+	dc.aggregations++
+	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, wave,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
 			vs := vShard(mm)
 			if vs == nil || len(vs.frag) == 0 {
@@ -248,7 +269,7 @@ func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch
 			}
 			sh := mm.Get(slotSketch).(*sketchShard)
 			for v := range vs.frag {
-				add(vs.compOf(v), sh.of(v).Sketch)
+				add(vs.compOf(v), wave.ViewOf(sh.of(v).Sketch))
 			}
 		})
 }
@@ -256,13 +277,24 @@ func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch
 // findReplacements runs the AGM-style Borůvka over the fragments at the
 // coordinator, resolving candidate endpoints with one distributed component
 // lookup per level, and returns the replacement forest edges.
+//
+// Level i queries copy i only, and most searches finish within a few
+// levels, so the fragment sketches ship in two waves: copies [0, w) before
+// the first level, and copies [w, t) only if the loop reaches copy w with
+// more than one supernode still active. Each fragment's second-wave sum is
+// then folded under its union-find root, the same field additions the
+// first wave's merges made, so every queried cell — hence every answer —
+// is bit-identical to shipping all t copies at once, in at most two
+// aggregation collectives.
 func (dc *DynamicConnectivity) findReplacements() ([]graph.Edge, error) {
-	merged := dc.aggregateFragmentSketches()
+	wave := dc.waves[0]
+	merged := dc.aggregateFragmentSketches(wave)
 	if len(merged) <= 1 {
 		return nil, nil
 	}
-	// Register the workspace on the coordinator so its memory is metered.
-	ws := &workspace{sketches: merged, perSk: dc.space.SketchWords()}
+	// Register the workspace on the coordinator so its memory is metered,
+	// at the width of the copy range it holds.
+	ws := &workspace{sketches: merged, perSk: wave.SketchWords()}
 	dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Set(slotWork, ws) })
 	defer dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Delete(slotWork) })
 
@@ -281,7 +313,27 @@ func (dc *DynamicConnectivity) findReplacements() ([]graph.Edge, error) {
 		active[c] = true
 	}
 	var replacements []graph.Edge
+	base := 0 // copy index of the workspace sketches' first copy
 	for copyIdx := 0; copyIdx < dc.space.Copies() && len(active) > 1; copyIdx++ {
+		if copyIdx == base+wave.Copies() {
+			wave, base = dc.waves[1], copyIdx
+			// The first wave's sketches are spent: drop them before the
+			// second wave arrives, then fold each fragment's sum under its
+			// supernode.
+			ws.sketches, ws.perSk = nil, wave.SketchWords()
+			next := dc.aggregateFragmentSketches(wave)
+			for frag, sk := range next {
+				// Field addition is exactly commutative, so the fold
+				// order never shows in the cells.
+				if root := find(frag); root != frag {
+					if dst, ok := next[root]; ok {
+						dst.Add(sk)
+					}
+					delete(next, frag)
+				}
+			}
+			ws.sketches = next
+		}
 		reps := make([]int, 0, len(active))
 		for c := range active {
 			reps = append(reps, c)
@@ -290,7 +342,7 @@ func (dc *DynamicConnectivity) findReplacements() ([]graph.Edge, error) {
 		var candidates []graph.Edge
 		hadFail := false
 		for _, rep := range reps {
-			e, res := ws.sketches[rep].Query(copyIdx)
+			e, res := ws.sketches[rep].Query(copyIdx - base)
 			switch res {
 			case sketch.Empty:
 				delete(active, rep) // no edges leave this supernode: done

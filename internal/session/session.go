@@ -13,7 +13,11 @@
 //     validated against before it reaches the engine;
 //   - the update journal: every update admitted since the last acknowledged
 //     checkpoint, which is what a delta checkpoint ships instead of the
-//     whole mirror;
+//     whole mirror. Only a checkpoint chain writes deltas, and a chain's
+//     first container is always a full base, so the session journals only
+//     once a chain is attached — once a chain has restored it or
+//     acknowledged one of its checkpoints. A session no chain ever touches
+//     (mpcserve without -checkpoint-dir) keeps no journal;
 //   - the config echo (N, Phi, Seed and the live VerticesPerMachine), the
 //     applied-batch counter and the restore-cycle counter.
 //
@@ -62,6 +66,7 @@ type Session struct {
 	dc            *core.DynamicConnectivity
 	mirror        *graph.Graph
 	journal       graph.Batch
+	journaling    bool // a chain is attached: see the package comment
 	applied       int
 	restoreCycles uint64
 }
@@ -115,8 +120,9 @@ func (s *Session) Applied() int { return s.applied }
 func (s *Session) RestoreCycles() uint64 { return s.restoreCycles }
 
 // Admit validates b against the mirror as one atomic batch (see
-// validateBatch), then applies it to the mirror and journals it. An invalid
-// batch leaves the session unchanged.
+// validateBatch), then applies it to the mirror and, while a checkpoint
+// chain is attached, journals it. An invalid batch leaves the session
+// unchanged.
 func (s *Session) Admit(b graph.Batch) error {
 	if err := validateBatch(s.mirror, b); err != nil {
 		return err
@@ -125,7 +131,9 @@ func (s *Session) Admit(b graph.Batch) error {
 		// Unreachable after validateBatch; fail loudly rather than desync.
 		return fmt.Errorf("session: admission mirror diverged: %w", err)
 	}
-	s.journal = append(s.journal, b...)
+	if s.journaling {
+		s.journal = append(s.journal, b...)
+	}
 	return nil
 }
 
@@ -255,7 +263,7 @@ func (s *Session) Restore(d *snapshot.Decoder) error {
 	if err := dc.Restore(d); err != nil {
 		return err
 	}
-	s.cfg, s.dc, s.mirror, s.journal = cfg, dc, mirror, nil
+	s.cfg, s.dc, s.mirror, s.journal, s.journaling = cfg, dc, mirror, nil, true
 	s.applied, s.restoreCycles = m.applied, m.cycles+1
 	return nil
 }
@@ -305,9 +313,9 @@ func (s *Session) RestoreDelta(d *snapshot.Decoder) error {
 
 // AckCheckpoint implements snapshot.DeltaState: the chain calls it once the
 // container is durably on disk, making the written state the new delta
-// baseline.
+// baseline. From then on the session journals its admitted updates.
 func (s *Session) AckCheckpoint() {
-	s.journal = nil
+	s.journal, s.journaling = nil, true
 	s.dc.AckCheckpoint()
 }
 

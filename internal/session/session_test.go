@@ -301,6 +301,10 @@ func TestAdmitApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Attach a chain so admitted updates are journaled.
+	if _, _, err := snapshot.OpenChain(filepath.Join(t.TempDir(), "s.snap"), 4).Checkpoint(s); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Admit(graph.Batch{graph.Ins(2, 3), graph.Del(2, 3)}); err == nil {
 		t.Fatal("batch touching an edge twice admitted")
 	}
@@ -319,6 +323,68 @@ func TestAdmitApply(t *testing.T) {
 	}
 	if s.Applied() != 1 || s.DC().NumComponents() != 64-len(b) || len(s.journal) != len(b) {
 		t.Fatalf("applied=%d components=%d journal=%d after one oversized batch", s.Applied(), s.DC().NumComponents(), len(s.journal))
+	}
+}
+
+// TestJournalOnlyWithChain: a session no checkpoint chain touches keeps no
+// journal however much it admits; once a chain acknowledges a checkpoint
+// (or restores the session) it journals until the next acknowledgement.
+func TestJournalOnlyWithChain(t *testing.T) {
+	s, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		u, v := i%64, (i+1+i/64)%64
+		if u == v {
+			v = (v + 1) % 64
+		}
+		op := graph.Ins(u, v)
+		if s.Mirror().Has(u, v) {
+			op = graph.Del(u, v)
+		}
+		if err := s.Admit(graph.Batch{op}); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	if len(s.journal) != 0 || cap(s.journal) != 0 {
+		t.Fatalf("1000 admits without a chain left a journal of %d updates (cap %d)", len(s.journal), cap(s.journal))
+	}
+	path := filepath.Join(t.TempDir(), "s.snap")
+	chain := snapshot.OpenChain(path, 4)
+	if kind, _, err := chain.Checkpoint(s); err != nil || kind != snapshot.KindFull {
+		t.Fatalf("first checkpoint: kind %q, err %v", kind, err)
+	}
+	var b graph.Batch
+	for v := 1; len(b) < 2; v++ {
+		if !s.Mirror().Has(0, v) {
+			b = append(b, graph.Ins(0, v))
+		}
+	}
+	if err := s.Admit(b); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.journal) != len(b) {
+		t.Fatalf("journal holds %d updates after attaching a chain, want %d", len(s.journal), len(b))
+	}
+	if kind, _, err := chain.Checkpoint(s); err != nil || kind != snapshot.KindDelta {
+		t.Fatalf("second checkpoint: kind %q, err %v", kind, err)
+	}
+	if len(s.journal) != 0 {
+		t.Fatalf("journal holds %d updates after an acknowledged delta", len(s.journal))
+	}
+	r, _, err := Resume(path, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Mirror().Has(0, b[1].Edge.V) || r.Mirror().M() != s.Mirror().M() {
+		t.Fatal("the delta did not carry the journaled updates")
+	}
+	if err := r.Admit(graph.Batch{graph.Del(0, b[0].Edge.V)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.journal) != 1 {
+		t.Fatalf("a resumed session journals %d updates, want 1", len(r.journal))
 	}
 }
 

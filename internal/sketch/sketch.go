@@ -16,14 +16,17 @@
 // Sketch state is stored flat: every sketch is a run of SketchWords()
 // machine words (t copies × (levels+1) cells × 3 words per cell), and a
 // Sketch value is a cheap view — a Space pointer plus a word slice — not a
-// heap object of its own. Views come from three places:
+// heap object of its own. Views come from four places:
 //
 //   - an Arena, which backs all the vertex sketches of one machine shard
 //     with a single contiguous allocation (see arena.go);
 //   - Space.NewSketch, a standalone one-allocation sketch;
 //   - Space.Scratch, a sync.Pool-backed buffer for the transient
 //     merge-and-query work of the recovery paths, returned with
-//     Space.Release.
+//     Space.Release;
+//   - Space.ViewOf on a Space.Range, which cuts a run of copies out of any
+//     of the above, so a reader that queries only some copies can ship and
+//     sum only those.
 //
 // Update, Add, Query and the cell-recovery scan all operate on the word
 // slices in place and perform no allocation, which is what keeps the
@@ -133,6 +136,10 @@ func cellRecover(w []uint64, fpHash *hash.Family, idSpace uint64) (idx uint64, o
 // Space holds the shared randomness for a family of mergeable sketches: t
 // independent copies, each with its own level hash and fingerprint hash.
 // Every sketch that is ever added to another must come from the same Space.
+//
+// A Space made by Range is a copy-range view of its parent: it shares the
+// parent's hash functions for copies [lo, hi), and its sketches are the
+// matching contiguous run of a parent sketch's words (see ViewOf).
 type Space struct {
 	idSpace uint64
 	t       int
@@ -141,6 +148,9 @@ type Space struct {
 	levelH  []*hash.Family
 	fpH     []*hash.Family
 	scratch sync.Pool // *[]uint64 of stride words, see Scratch/Release
+
+	parent *Space // nil unless made by Range
+	lo     int    // first parent copy of a Range space
 }
 
 // NewSpace creates a space for vectors indexed by [0, idSpace) with t
@@ -159,19 +169,53 @@ func NewSpace(idSpace uint64, t int, prg *hash.PRG) *Space {
 			break
 		}
 	}
-	s := &Space{idSpace: idSpace, t: t, levels: levels}
-	s.stride = t * (levels + 1) * cellWords
-	s.levelH = make([]*hash.Family, t)
-	s.fpH = make([]*hash.Family, t)
+	levelH := make([]*hash.Family, t)
+	fpH := make([]*hash.Family, t)
 	for i := 0; i < t; i++ {
-		s.levelH[i] = hash.NewFourwise(prg)
-		s.fpH[i] = hash.NewFourwise(prg)
+		levelH[i] = hash.NewFourwise(prg)
+		fpH[i] = hash.NewFourwise(prg)
 	}
+	return newSpace(idSpace, levels, levelH, fpH)
+}
+
+func newSpace(idSpace uint64, levels int, levelH, fpH []*hash.Family) *Space {
+	t := len(levelH)
+	s := &Space{idSpace: idSpace, t: t, levels: levels, levelH: levelH, fpH: fpH}
+	s.stride = t * (levels + 1) * cellWords
 	s.scratch.New = func() any {
 		buf := make([]uint64, s.stride)
 		return &buf
 	}
 	return s
+}
+
+// Range returns a view space of copies [lo, hi): copy c of a Range sketch
+// is copy lo+c of the parent sketch it was cut from. Because a sketch is
+// laid out copy-major, ViewOf cuts that run out of a parent sketch without
+// copying, and by linearity the sum of the views equals the view of the
+// sum, so shipping and adding only the copies a reader will query gives
+// bit-identical answers for those copies. Every call returns a distinct
+// space with its own scratch pool; sketches of two Range spaces never mix,
+// even over the same copies.
+func (s *Space) Range(lo, hi int) *Space {
+	if lo < 0 || hi > s.t || lo >= hi {
+		panic(fmt.Sprintf("sketch: copy range [%d,%d) of %d", lo, hi, s.t))
+	}
+	r := newSpace(s.idSpace, s.levels, s.levelH[lo:hi:hi], s.fpH[lo:hi:hi])
+	r.parent, r.lo = s, lo
+	return r
+}
+
+// ViewOf returns copies [lo, hi) of sk, a sketch of the parent of this
+// Range space, as a sketch of this space. The view aliases sk's words
+// (full-sliced, so it cannot spill into the copies around it): adding into
+// it updates those copies of sk and leaves the rest untouched.
+func (s *Space) ViewOf(sk Sketch) Sketch {
+	if s.parent == nil || sk.space != s.parent {
+		panic("sketch: ViewOf a sketch that is not from the range's parent space")
+	}
+	off := s.lo * (s.levels + 1) * cellWords
+	return Sketch{space: s, cells: sk.cells[off : off+s.stride : off+s.stride]}
 }
 
 // NewGraphSpace creates a space for the edge-incidence vectors of graphs on
@@ -415,26 +459,4 @@ func (vs VertexSketch) ApplyEdge(w int, e graph.Edge, op graph.Op) {
 		sign = -sign
 	}
 	vs.Update(e.ID(vs.n), sign)
-}
-
-// QueryEdge recovers an edge of the cut around the sketched vertex set using
-// copy c. The sign of the recovered coordinate is immaterial: coordinate
-// indices identify edges directly.
-func (vs VertexSketch) QueryEdge(c int) (graph.Edge, QueryResult) {
-	idx, res := vs.Query(c)
-	if res != Found {
-		return graph.Edge{}, res
-	}
-	return graph.EdgeFromID(idx, vs.n), Found
-}
-
-// CloneVertex returns a deep copy preserving the vertex-sketch wrapper.
-func (vs VertexSketch) CloneVertex() VertexSketch {
-	return VertexSketch{Sketch: vs.Sketch.Clone(), n: vs.n}
-}
-
-// AddVertex merges another vertex sketch into vs; the result summarizes
-// X_A for the union of the underlying vertex sets.
-func (vs VertexSketch) AddVertex(other VertexSketch) {
-	vs.Add(other.Sketch)
 }

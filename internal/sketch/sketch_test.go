@@ -9,6 +9,17 @@ import (
 	"repro/internal/hash"
 )
 
+// queryEdge recovers an edge of the cut around the vertex set sketched by
+// vs using copy c; coordinate indices identify edges directly, so the sign
+// of the recovered coordinate is immaterial.
+func queryEdge(vs VertexSketch, c int) (graph.Edge, QueryResult) {
+	idx, res := vs.Query(c)
+	if res != Found {
+		return graph.Edge{}, res
+	}
+	return graph.EdgeFromID(idx, vs.n), Found
+}
+
 func newTestSpace(idSpace uint64, t int, seed uint64) *Space {
 	return NewSpace(idSpace, t, hash.NewPRG(seed))
 }
@@ -279,13 +290,13 @@ func TestVertexSketchCutRecovery(t *testing.T) {
 		vs[e.U].ApplyEdge(e.U, e, graph.Insert)
 		vs[e.V].ApplyEdge(e.V, e, graph.Insert)
 	}
-	cut := vs[0].CloneVertex()
-	cut.AddVertex(vs[1])
-	e, res := cut.QueryEdge(0)
+	cut := VertexSketch{Sketch: vs[0].Clone(), n: n}
+	cut.Add(vs[1].Sketch)
+	e, res := queryEdge(cut, 0)
 	if res == Fail {
 		// try the other copies
 		for c := 1; c < sp.Copies(); c++ {
-			e, res = cut.QueryEdge(c)
+			e, res = queryEdge(cut, c)
 			if res != Fail {
 				break
 			}
